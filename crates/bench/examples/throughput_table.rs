@@ -2,18 +2,16 @@
 //!
 //! Prints two Markdown tables of committed-records-per-second:
 //!
-//! 1. frontend × pipeline organization × stats mode (gzip, the paper's
-//!    reference workload), and
-//! 2. workload × stats mode on the cheapest supply path (`slice`,
-//!    optimized N+3 organization) across all five SPEC profiles.
+//! 1. frontend × pipeline organization (gzip, the paper's reference
+//!    workload), and
+//! 2. workload on the cheapest supply path (`slice`, optimized N+3
+//!    organization) across all five SPEC profiles.
 //!
 //! Methodology matches `bench_guard`: every cell is **best-of-N**
 //! wall-clock over full engine runs (a fresh engine per run, the trace
-//! pre-generated and shared), with the full-stats and stats-lite runs
-//! of a cell interleaved so both modes sample the same host-noise
-//! environment. Best-of-N reports the capability of the code, not the
-//! mood of the machine — on a busy host the mean is dominated by
-//! scheduling noise while the best run converges quickly.
+//! pre-generated and shared). Best-of-N reports the capability of the
+//! code, not the mood of the machine — on a busy host the mean is
+//! dominated by scheduling noise while the best run converges quickly.
 //!
 //! ```text
 //! cargo run --release -p resim-bench --example throughput_table
@@ -31,31 +29,22 @@ fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
-fn time_once<S: TraceSource>(config: &EngineConfig, lite: bool, src: S) -> f64 {
-    let mut engine = if lite {
-        Engine::new_lite(config.clone()).expect("valid config")
-    } else {
-        Engine::new(config.clone()).expect("valid config")
-    };
-    let start = Instant::now();
-    let stats = engine.run(src);
-    let secs = start.elapsed().as_secs_f64();
-    assert!(stats.committed > 0);
-    stats.committed as f64 / secs
-}
-
-/// Interleaved best-of-N (full, lite) for one supply thunk.
-fn measure_pair<S: TraceSource, F: FnMut() -> S>(
+/// Best-of-`runs` committed records per second, a fresh engine per run.
+fn best_of<S: TraceSource, F: FnMut() -> S>(
     config: &EngineConfig,
     runs: usize,
     mut source: F,
-) -> (f64, f64) {
-    let (mut full, mut lite) = (0.0f64, 0.0f64);
+) -> f64 {
+    let mut best = 0.0f64;
     for _ in 0..runs {
-        full = full.max(time_once(config, false, source()));
-        lite = lite.max(time_once(config, true, source()));
+        let mut engine = Engine::new(config.clone()).expect("valid config");
+        let start = Instant::now();
+        let stats = engine.run(source());
+        let secs = start.elapsed().as_secs_f64();
+        assert!(stats.committed > 0);
+        best = best.max(stats.committed as f64 / secs);
     }
-    (full, lite)
+    best
 }
 
 fn mrecs(rate: f64) -> String {
@@ -86,30 +75,25 @@ fn main() {
         ("2N+3 (simple)", PipelineDescription::simple()),
     ];
 
-    println!("| frontend | organization | full | lite | lite/full |");
-    println!("|----------|--------------|------|------|-----------|");
+    println!("| frontend | organization | Mrec/s |");
+    println!("|----------|--------------|--------|");
     for (org_name, desc) in &orgs {
         let config = EngineConfig { pipeline: desc.clone(), ..EngineConfig::paper_4wide() };
         for frontend in ["slice", "encoded", "file"] {
-            let (full, lite) = match frontend {
-                "slice" => measure_pair(&config, runs, || gzip.source()),
-                "encoded" => measure_pair(&config, runs, || encoded.source()),
-                _ => measure_pair(&config, runs, || {
+            let rate = match frontend {
+                "slice" => best_of(&config, runs, || gzip.source()),
+                "encoded" => best_of(&config, runs, || encoded.source()),
+                _ => best_of(&config, runs, || {
                     FileSource::open(&path).expect("trace readable")
                 }),
             };
-            println!(
-                "| {frontend} | {org_name} | {} | {} | {:.3} |",
-                mrecs(full),
-                mrecs(lite),
-                lite / full
-            );
+            println!("| {frontend} | {org_name} | {} |", mrecs(rate));
         }
     }
 
     println!();
-    println!("| workload (slice, N+3) | full | lite | lite/full |");
-    println!("|-----------------------|------|------|-----------|");
+    println!("| workload (slice, N+3) | Mrec/s |");
+    println!("|-----------------------|--------|");
     let config = EngineConfig::paper_4wide();
     for bench in SpecBenchmark::ALL {
         let trace = generate_trace(
@@ -117,14 +101,8 @@ fn main() {
             budget,
             &TraceGenConfig::paper(),
         );
-        let (full, lite) = measure_pair(&config, runs, || trace.source());
-        println!(
-            "| {} | {} | {} | {:.3} |",
-            bench.name(),
-            mrecs(full),
-            mrecs(lite),
-            lite / full
-        );
+        let rate = best_of(&config, runs, || trace.source());
+        println!("| {} | {} |", bench.name(), mrecs(rate));
     }
     let _ = std::fs::remove_file(&path);
 }

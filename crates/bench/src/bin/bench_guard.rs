@@ -1,16 +1,12 @@
 //! CI bench-regression guard for the `engine_throughput` benchmark.
 //!
 //! Re-measures committed-records-per-second for the three trace
-//! frontends (`slice`, `encoded`, `file`) — each in full-stats and
-//! stats-lite engine mode — at the quick-mode budget and compares every
-//! row against the checked-in `BENCH_BASELINE.json` at the repository
-//! root. A row that drops below `baseline * (1 - allowed_drop)` fails
-//! the run (exit 1), which is how CI catches an accidental
-//! O(n)-per-record regression in the decode or dispatch path without a
-//! full criterion run. On top of the per-row floors, the guard asserts
-//! the mode relation itself: **stats-lite must measure strictly faster
-//! than full-stats on every frontend**, so the lite mode can never
-//! silently decay into dead weight.
+//! frontends (`slice`, `encoded`, `file`) at the quick-mode budget and
+//! compares every row against the checked-in `BENCH_BASELINE.json` at
+//! the repository root. A row that drops below
+//! `baseline * (1 - allowed_drop)` fails the run (exit 1), which is how
+//! CI catches an accidental O(n)-per-record regression in the decode or
+//! dispatch path without a full criterion run.
 //!
 //! Usage:
 //!
@@ -21,8 +17,7 @@
 //!
 //! Besides the human-readable table, the compare mode always ends with
 //! one `resim.bench/1` JSON line — pass or fail — carrying every row's
-//! measured/baseline/floor numbers (full rows under the frontend name,
-//! stats-lite rows suffixed `_lite`), so CI can archive the measurement
+//! measured/baseline/floor numbers, so CI can archive the measurement
 //! with a `grep '"schema":"resim.bench/1"'` instead of parsing the
 //! table.
 //!
@@ -44,12 +39,9 @@ const BUDGET: usize = 20_000;
 const RUNS: usize = 5;
 const FRONTENDS: [&str; 3] = ["slice", "encoded", "file"];
 
-/// One measured row: a frontend in one stats mode. `key` is the
-/// baseline-JSON key (`slice`, `slice_lite`, ...).
+/// One measured row: a frontend and its best rate.
 struct Row {
     frontend: &'static str,
-    lite: bool,
-    key: String,
     rate: f64,
 }
 
@@ -58,34 +50,18 @@ fn baseline_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_BASELINE.json")
 }
 
-/// One timed full run of one engine; committed records per second.
-fn time_once<S: TraceSource>(config: &EngineConfig, lite: bool, src: S) -> f64 {
-    let mut engine = if lite {
-        Engine::new_lite(config.clone()).expect("paper config is valid")
-    } else {
-        Engine::new(config.clone()).expect("paper config is valid")
-    };
-    let start = Instant::now();
-    let stats = engine.run(src);
-    let secs = start.elapsed().as_secs_f64();
-    assert!(stats.committed > 0, "bench run must make progress");
-    stats.committed as f64 / secs
-}
-
-/// Best-of-N for full-stats and stats-lite over one frontend,
-/// **interleaved** run for run so both modes sample the same noise
-/// environment — the lite-vs-full comparison is between neighbours in
-/// time, not between two separated measurement blocks.
-fn measure_pair<S: TraceSource, F: FnMut() -> S>(
-    config: &EngineConfig,
-    mut source: F,
-) -> (f64, f64) {
-    let (mut full, mut lite) = (0.0f64, 0.0f64);
+/// Best-of-N committed records per second, a fresh engine per run.
+fn best_of<S: TraceSource, F: FnMut() -> S>(config: &EngineConfig, mut source: F) -> f64 {
+    let mut best = 0.0f64;
     for _ in 0..RUNS {
-        full = full.max(time_once(config, false, source()));
-        lite = lite.max(time_once(config, true, source()));
+        let mut engine = Engine::new(config.clone()).expect("paper config is valid");
+        let start = Instant::now();
+        let stats = engine.run(source());
+        let secs = start.elapsed().as_secs_f64();
+        assert!(stats.committed > 0, "bench run must make progress");
+        best = best.max(stats.committed as f64 / secs);
     }
-    (full, lite)
+    best
 }
 
 fn measure_all() -> Vec<Row> {
@@ -101,36 +77,25 @@ fn measure_all() -> Vec<Row> {
     let path = std::env::temp_dir().join(format!("resim-bench-guard-{}.trace", std::process::id()));
     save_trace_file(&path, &header, &encoded).expect("write bench trace");
 
-    let mut out = Vec::new();
-    for frontend in FRONTENDS {
-        let (full, lite) = match frontend {
-            "slice" => measure_pair(&config, || trace.source()),
-            "encoded" => measure_pair(&config, || encoded.source()),
-            _ => measure_pair(&config, || {
-                FileSource::open(&path).expect("bench trace readable")
-            }),
-        };
-        out.push(Row { frontend, lite: false, key: frontend.to_string(), rate: full });
-        out.push(Row { frontend, lite: true, key: format!("{frontend}_lite"), rate: lite });
-    }
+    let out = FRONTENDS
+        .into_iter()
+        .map(|frontend| {
+            let rate = match frontend {
+                "slice" => best_of(&config, || trace.source()),
+                "encoded" => best_of(&config, || encoded.source()),
+                _ => best_of(&config, || {
+                    FileSource::open(&path).expect("bench trace readable")
+                }),
+            };
+            Row { frontend, rate }
+        })
+        .collect();
     let _ = std::fs::remove_file(&path);
     out
 }
 
-/// Does every frontend's lite row beat its full row in `rows`?
-/// Returns the first offending frontend, or `None` when the relation
-/// holds everywhere.
-fn lite_edge_violation(rows: &[Row]) -> Option<(&'static str, f64, f64)> {
-    FRONTENDS.iter().find_map(|frontend| {
-        let full = rows.iter().find(|r| r.frontend == *frontend && !r.lite)?;
-        let lite = rows.iter().find(|r| r.frontend == *frontend && r.lite)?;
-        (lite.rate <= full.rate).then_some((*frontend, full.rate, lite.rate))
-    })
-}
-
 /// Pulls `"key": <number>` out of the baseline JSON. The file is flat
 /// and machine-written, so a scan is enough — no JSON dependency.
-/// Exact-key match: `"slice"` must not resolve via `"slice_lite"`.
 fn json_number(text: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{key}\":");
     let after = &text[text.find(&needle)? + needle.len()..];
@@ -150,7 +115,10 @@ fn write_baseline(path: &Path, rows: &[Row]) {
     body.push_str("  \"records_per_sec\": {\n");
     for (i, row) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
-        body.push_str(&format!("    \"{}\": {:.0}{comma}\n", row.key, row.rate));
+        body.push_str(&format!(
+            "    \"{}\": {:.0}{comma}\n",
+            row.frontend, row.rate
+        ));
     }
     body.push_str("  }\n}\n");
     std::fs::write(path, body).expect("write baseline");
@@ -163,35 +131,10 @@ fn main() {
     println!("bench_guard: engine_throughput quick mode ({BUDGET} records, best of {RUNS})");
     let mut rows = measure_all();
     for row in &rows {
-        println!("  {:14} {:10.0} records/s", row.key, row.rate);
+        println!("  {:14} {:10.0} records/s", row.frontend, row.rate);
     }
 
     if write {
-        // A baseline is also a claim: lite beats full on every
-        // frontend. Refuse to pin a noise-inverted measurement; retry a
-        // few times, since on a quiet machine the relation holds.
-        let mut rows = rows;
-        for attempt in 0..4 {
-            match lite_edge_violation(&rows) {
-                None => break,
-                Some((frontend, full, lite)) if attempt < 3 => {
-                    eprintln!(
-                        "bench_guard: lite {lite:.0} <= full {full:.0} on {frontend}; \
-                         remeasuring (attempt {})",
-                        attempt + 2
-                    );
-                    rows = measure_all();
-                }
-                Some((frontend, full, lite)) => {
-                    eprintln!(
-                        "bench_guard: refusing to write a baseline where stats-lite \
-                         ({lite:.0} records/s) is not faster than full ({full:.0}) on \
-                         {frontend}; rerun on a quiet machine"
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
         write_baseline(&path, &rows);
         println!("baseline written to {}", path.display());
         return;
@@ -214,15 +157,15 @@ fn main() {
     // only a *persistent* shortfall survives three measurement passes.
     for _ in 0..2 {
         let below_floor = rows.iter().any(|row| {
-            json_number(&text, &row.key)
+            json_number(&text, row.frontend)
                 .is_some_and(|baseline| row.rate < baseline * (1.0 - allowed_drop))
         });
-        if !below_floor && lite_edge_violation(&rows).is_none() {
+        if !below_floor {
             break;
         }
         println!("bench_guard: shortfall on first pass; remeasuring to rule out host noise");
         for fresh in measure_all() {
-            if let Some(row) = rows.iter_mut().find(|r| r.key == fresh.key) {
+            if let Some(row) = rows.iter_mut().find(|r| r.frontend == fresh.frontend) {
                 row.rate = row.rate.max(fresh.rate);
             }
         }
@@ -231,10 +174,10 @@ fn main() {
     let mut failed = false;
     let mut results = Vec::new();
     for row in &rows {
-        let Some(baseline) = json_number(&text, &row.key) else {
+        let Some(baseline) = json_number(&text, row.frontend) else {
             eprintln!(
                 "bench_guard: baseline has no entry for {:?}; rerun `bench_guard --write`",
-                row.key
+                row.frontend
             );
             failed = true;
             continue;
@@ -244,43 +187,10 @@ fn main() {
         let verdict = if ok { "ok" } else { "REGRESSION" };
         println!(
             "  {:14} baseline {baseline:10.0}  floor {floor:10.0}  measured {:10.0}  {verdict}",
-            row.key, row.rate
+            row.frontend, row.rate
         );
         results.push((row, baseline, floor, ok));
         if !ok {
-            failed = true;
-        }
-    }
-    // The mode relation is part of the contract: lite exists to be
-    // faster, on every frontend. The checked-in baseline must state it
-    // strictly (deterministic, so CI can never flake on it); the live
-    // measurement tolerates timer noise on the tiny quick budget but
-    // fails on a real inversion.
-    for frontend in FRONTENDS {
-        let full = rows.iter().find(|r| r.frontend == frontend && !r.lite);
-        let lite = rows.iter().find(|r| r.frontend == frontend && r.lite);
-        let (Some(full), Some(lite)) = (full, lite) else {
-            panic!("frontend {frontend} missing from measurement");
-        };
-        let (base_full, base_lite) = (
-            json_number(&text, &full.key),
-            json_number(&text, &lite.key),
-        );
-        if let (Some(bf), Some(bl)) = (base_full, base_lite) {
-            if bl <= bf {
-                eprintln!(
-                    "bench_guard: BENCH_BASELINE.json has stats-lite not faster than \
-                     full on {frontend} ({bl:.0} <= {bf:.0}); regenerate with --write"
-                );
-                failed = true;
-            }
-        }
-        if lite.rate < full.rate * 0.95 {
-            eprintln!(
-                "bench_guard: stats-lite measured well below full on {frontend} \
-                 ({:.0} < {:.0} records/s): the lite mode lost its edge",
-                lite.rate, full.rate
-            );
             failed = true;
         }
     }
@@ -290,11 +200,9 @@ fn main() {
         .iter()
         .map(|(row, baseline, floor, ok)| {
             format!(
-                "{{\"frontend\":\"{}\",\"stats\":\"{}\",\"measured\":{:.0},\
+                "{{\"frontend\":\"{}\",\"measured\":{:.0},\
                  \"baseline\":{baseline:.0},\"floor\":{floor:.0},\"ok\":{ok}}}",
-                row.frontend,
-                if row.lite { "lite" } else { "full" },
-                row.rate
+                row.frontend, row.rate
             )
         })
         .collect::<Vec<_>>()
@@ -307,14 +215,13 @@ fn main() {
     );
     if failed {
         eprintln!(
-            "bench_guard: throughput regressed more than {:.0}% below BENCH_BASELINE.json \
-             (or stats-lite lost its edge)",
+            "bench_guard: throughput regressed more than {:.0}% below BENCH_BASELINE.json",
             allowed_drop * 100.0
         );
         std::process::exit(1);
     }
     println!(
-        "bench_guard: all rows within {:.0}% of baseline; stats-lite faster on every frontend",
+        "bench_guard: all rows within {:.0}% of baseline",
         allowed_drop * 100.0
     );
 }

@@ -3,8 +3,10 @@
 //! Rust.
 
 use resim_cli::run_for_test;
+use resim_serve::{Client, ResultCache, Server};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn scratch(test: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("resim-diag-{test}-{}", std::process::id()));
@@ -88,6 +90,30 @@ fn sweep_problems_resolve_lazily_with_context() {
         &["run"],
     );
     assert_eq!(code, 0, "stderr: {err}");
+}
+
+/// A `[sweep] stats` key, which older scenarios may carry, is an
+/// ordinary unknown key, locally and over the wire.
+#[test]
+fn removed_stats_key_is_an_unknown_key() {
+    let scenario = "[sweep]\nworkloads = [\"gzip\"]\nbudgets = [100]\nseeds = [1]\n\
+                    stats = \"lite\"\n[[sweep.config]]\nname = \"a\"\n";
+    let (code, _, err) = run_on("stats-sweep", scenario, &["sweep"]);
+    assert_eq!(code, 1);
+    assert!(err.contains("s.toml:5: unknown key \"stats\""), "{err}");
+
+    let server = Arc::new(Server::bind("127.0.0.1:0", ResultCache::in_memory(), 1).unwrap());
+    let addr = server.local_addr().to_string();
+    let handle = {
+        let server = server.clone();
+        std::thread::spawn(move || server.run().expect("serve loop"))
+    };
+    let (code, _, err) = run_on("stats-submit", scenario, &["submit", "--addr", &addr]);
+    assert_eq!(code, 1);
+    assert!(err.contains("[bad-scenario]"), "{err}");
+    assert!(err.contains("line 5: unknown key \"stats\""), "{err}");
+    Client::connect(&addr).unwrap().shutdown().unwrap();
+    handle.join().unwrap();
 }
 
 #[test]

@@ -28,7 +28,6 @@ use crate::cursor::TraceCursor;
 use crate::scheduler::MinorCycleScheduler;
 use crate::state::CoreState;
 use crate::stats::SimStats;
-use crate::stats_policy::{FullStats, LiteStats, StatsPolicy};
 use resim_obs::{NullRecorder, Recorder};
 use resim_trace::TraceSource;
 
@@ -69,10 +68,6 @@ const WATCHDOG_CYCLES: u64 = 200_000;
 pub struct Engine<R: Recorder = NullRecorder> {
     state: CoreState<R>,
     scheduler: MinorCycleScheduler<R>,
-    /// Run the cycle loop under [`LiteStats`] instead of [`FullStats`].
-    /// The branch is hoisted out of the loop: each public run entry point
-    /// dispatches once into a loop monomorphized over the policy.
-    stats_lite: bool,
 }
 
 // The sweep runner (`resim-sweep`) moves engines and their results across
@@ -93,27 +88,6 @@ impl Engine {
     /// structural inconsistencies.
     pub fn new(config: EngineConfig) -> Result<Self, ConfigError> {
         Self::with_recorder(config, NullRecorder)
-    }
-
-    /// Builds an engine in **stats-lite** mode: occupancy statistics
-    /// (the six `*_occupancy_sum` / `*_occupancy_max` fields) and the
-    /// scheduler's per-stage activity totals are compiled out of the
-    /// cycle loop and read as zero. Every other counter — committed
-    /// counts, IPC, mispredicts, cache hits, stalls — is bit-identical
-    /// to a [`Engine::new`] run (pinned by `stats_lite_identity.rs`).
-    ///
-    /// This is the sweep throughput mode (`[sweep] stats = "lite"` in a
-    /// scenario); use the default full mode whenever a report will show
-    /// occupancy or stage activity.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ConfigError`] from [`EngineConfig::validate`] on
-    /// structural inconsistencies.
-    pub fn new_lite(config: EngineConfig) -> Result<Self, ConfigError> {
-        let mut engine = Self::new(config)?;
-        engine.stats_lite = true;
-        Ok(engine)
     }
 
     /// Builds a fresh engine whose predictor and memory system start from
@@ -145,17 +119,7 @@ impl<R: Recorder> Engine<R> {
     pub fn with_recorder(config: EngineConfig, recorder: R) -> Result<Self, ConfigError> {
         let state = CoreState::with_recorder(config, recorder)?;
         let scheduler = MinorCycleScheduler::new(&state.config)?;
-        Ok(Self {
-            state,
-            scheduler,
-            stats_lite: false,
-        })
-    }
-
-    /// Whether this engine runs in stats-lite mode (see
-    /// [`Engine::new_lite`]).
-    pub fn is_stats_lite(&self) -> bool {
-        self.stats_lite
+        Ok(Self { state, scheduler })
     }
 
     /// The attached instrumentation recorder.
@@ -235,24 +199,12 @@ impl<R: Recorder> Engine<R> {
         cursor: &mut TraceCursor<S>,
         records: u64,
     ) -> SimStats {
-        if self.stats_lite {
-            self.run_window_as::<LiteStats, S>(cursor, records)
-        } else {
-            self.run_window_as::<FullStats, S>(cursor, records)
-        }
-    }
-
-    fn run_window_as<P: StatsPolicy, S: TraceSource>(
-        &mut self,
-        cursor: &mut TraceCursor<S>,
-        records: u64,
-    ) -> SimStats {
         let target = cursor.consumed().saturating_add(records);
         while cursor.consumed() < target {
             if cursor.peek().is_none() && self.state.is_drained() {
                 break;
             }
-            self.step::<P, S>(cursor);
+            self.step(cursor);
             self.check_watchdog();
         }
         self.stats()
@@ -269,23 +221,11 @@ impl<R: Recorder> Engine<R> {
         cursor: &mut TraceCursor<S>,
         max_cycles: u64,
     ) -> SimStats {
-        if self.stats_lite {
-            self.drain_for_as::<LiteStats, S>(cursor, max_cycles)
-        } else {
-            self.drain_for_as::<FullStats, S>(cursor, max_cycles)
-        }
-    }
-
-    fn drain_for_as<P: StatsPolicy, S: TraceSource>(
-        &mut self,
-        cursor: &mut TraceCursor<S>,
-        max_cycles: u64,
-    ) -> SimStats {
         while self.state.cycle() < max_cycles {
             if cursor.peek().is_none() && self.state.is_drained() {
                 break;
             }
-            self.step::<P, S>(cursor);
+            self.step(cursor);
             self.check_watchdog();
         }
         self.stats()
@@ -294,9 +234,9 @@ impl<R: Recorder> Engine<R> {
     /// Advances one simulated (major) cycle: the scheduler evaluates the
     /// stage roster, then the state closes the cycle with occupancy and
     /// minor-cycle accounting.
-    fn step<P: StatsPolicy, S: TraceSource>(&mut self, cursor: &mut TraceCursor<S>) {
-        let minors = self.scheduler.step::<P>(&mut self.state, cursor);
-        self.state.finish_cycle::<P>(minors);
+    fn step<S: TraceSource>(&mut self, cursor: &mut TraceCursor<S>) {
+        let minors = self.scheduler.step(&mut self.state, cursor);
+        self.state.finish_cycle(minors);
     }
 
     fn check_watchdog(&self) {

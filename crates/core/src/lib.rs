@@ -58,7 +58,6 @@ mod cursor;
 mod describe;
 mod description;
 mod engine;
-mod fingerprint;
 mod from_table;
 mod grid;
 mod lsq;
@@ -69,7 +68,6 @@ mod scheduler;
 mod state;
 pub mod stages;
 mod stats;
-mod stats_policy;
 
 pub use checkpoint::{
     Checkpoint, CheckpointError, ResumeError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
@@ -82,7 +80,6 @@ pub use description::{
     StageRow, MAX_SLOT, STAGE_AREA_KEYS,
 };
 pub use engine::Engine;
-pub use fingerprint::Fnv64;
 pub use grid::ConfigGrid;
 pub use lsq::{LoadReady, LoadStoreQueue, LsqEntry};
 pub use multicore::{MultiCore, MultiCoreError};
@@ -92,7 +89,10 @@ pub use scheduler::MinorCycleScheduler;
 pub use stages::{Stage, StageActivity, TraceFeed};
 pub use state::CoreState;
 pub use stats::{SimStats, SIM_STATS_FIELDS};
-pub use stats_policy::{FullStats, LiteStats, StatsPolicy};
+
+// The workspace content hash lives at the bottom of the crate DAG, in
+// `resim-trace`; re-exported here, where scenario and cache code finds it.
+pub use resim_trace::Fnv64;
 
 // The instrumentation seam the engine is generic over, re-exported so
 // engine users can attach a recorder without naming `resim-obs`.

@@ -25,7 +25,6 @@ use crate::stages::{
     WritebackStage,
 };
 use crate::state::CoreState;
-use crate::stats_policy::StatsPolicy;
 use resim_obs::{NullRecorder, Recorder, SpanId};
 
 /// Wall-time span ids aligned with the stage roster's evaluation order.
@@ -143,11 +142,7 @@ impl<R: Recorder> MinorCycleScheduler<R> {
 
     /// Evaluates every stage once (one major cycle) and returns the
     /// minor cycles charged for it.
-    ///
-    /// Per-stage activity accumulation is compiled out under
-    /// [`LiteStats`](crate::LiteStats) — the lite mode's
-    /// [`activity`](Self::activity) totals read as zero.
-    pub(crate) fn step<P: StatsPolicy>(
+    pub(crate) fn step(
         &mut self,
         core: &mut CoreState<R>,
         feed: &mut dyn TraceFeed,
@@ -161,10 +156,7 @@ impl<R: Recorder> MinorCycleScheduler<R> {
             if R::ENABLED {
                 core.recorder.span_enter(STAGE_SPANS[i]);
             }
-            let activity = stage.evaluate(core, feed);
-            if P::FULL {
-                *total += activity.ops;
-            }
+            *total += stage.evaluate(core, feed).ops;
             if R::ENABLED {
                 core.recorder.span_exit(STAGE_SPANS[i]);
             }

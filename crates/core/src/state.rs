@@ -16,7 +16,6 @@ use crate::lsq::LoadStoreQueue;
 use crate::rob::ReorderBuffer;
 use crate::stages::TraceFeed;
 use crate::stats::SimStats;
-use crate::stats_policy::StatsPolicy;
 use resim_bpred::BranchPredictor;
 use resim_mem::MemorySystem;
 use resim_obs::{Counter, EventKind, Gauge, Hist, NullRecorder, Recorder};
@@ -144,21 +143,22 @@ impl<R: Recorder> CoreState<R> {
         s
     }
 
-    /// End-of-major-cycle bookkeeping: occupancy statistics (compiled
-    /// out under [`LiteStats`](crate::LiteStats)), then the cycle
-    /// counters advance (`minor_cycles` by whatever the scheduler
+    /// End-of-major-cycle bookkeeping: occupancy statistics, then the
+    /// cycle counters advance (`minor_cycles` by whatever the scheduler
     /// charged for the cycle just executed).
-    pub(crate) fn finish_cycle<P: StatsPolicy>(&mut self, minor_cycles: u64) {
-        if P::FULL {
-            self.stats.ifq_occupancy_sum += self.ifq.len() as u64;
-            self.stats.rb_occupancy_sum += self.rob.len() as u64;
-            self.stats.lsq_occupancy_sum += self.lsq.len() as u64;
-            self.stats.ifq_occupancy_max = self.stats.ifq_occupancy_max.max(self.ifq.len() as u64);
-            self.stats.rb_occupancy_max = self.stats.rb_occupancy_max.max(self.rob.len() as u64);
-            self.stats.lsq_occupancy_max = self.stats.lsq_occupancy_max.max(self.lsq.len() as u64);
-        }
+    pub(crate) fn finish_cycle(&mut self, minor_cycles: u64) {
+        let (ifq, rb, lsq) = (
+            self.ifq.len() as u64,
+            self.rob.len() as u64,
+            self.lsq.len() as u64,
+        );
+        self.stats.ifq_occupancy_sum += ifq;
+        self.stats.rb_occupancy_sum += rb;
+        self.stats.lsq_occupancy_sum += lsq;
+        self.stats.ifq_occupancy_max = self.stats.ifq_occupancy_max.max(ifq);
+        self.stats.rb_occupancy_max = self.stats.rb_occupancy_max.max(rb);
+        self.stats.lsq_occupancy_max = self.stats.lsq_occupancy_max.max(lsq);
         if R::ENABLED {
-            let (ifq, rb, lsq) = (self.ifq.len() as u64, self.rob.len() as u64, self.lsq.len() as u64);
             self.recorder.gauge(Gauge::IfqOccupancy, ifq);
             self.recorder.gauge(Gauge::RbOccupancy, rb);
             self.recorder.gauge(Gauge::LsqOccupancy, lsq);

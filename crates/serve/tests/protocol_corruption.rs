@@ -113,6 +113,12 @@ fn every_truncation_gets_a_structured_answer() {
 #[test]
 fn protocol_abuse_is_typed_and_never_wedges_the_server() {
     let (server, addr, handle) = start_server();
+    // Half a million unclosed `[` fit in one frame; the TOML parser must
+    // refuse the nesting, not recurse into it on the connection thread.
+    let deep = format!(
+        "{{\"verb\":\"submit\",\"scenario\":\"x = {}\"}}\n",
+        "[".repeat(500_000)
+    );
     let cases: &[(&str, &[u8], &str)] = &[
         ("unknown verb", b"{\"verb\":\"launch\"}\n", "unknown-verb"),
         ("non-object json", b"[1,2,3]\n", "bad-request"),
@@ -138,6 +144,7 @@ fn protocol_abuse_is_typed_and_never_wedges_the_server() {
             b"{\"verb\":\"submit\",\"scenario\":\"[engine]\\npreset = \\\"no-such\\\"\"}\n",
             "bad-scenario",
         ),
+        ("submit with deeply nested arrays", deep.as_bytes(), "bad-scenario"),
         ("status for a job never issued", b"{\"verb\":\"status\",\"job\":999}\n", "unknown-job"),
     ];
     for (case, bytes, code) in cases {

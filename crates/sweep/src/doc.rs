@@ -16,7 +16,7 @@
 //! sampled run, or sweep grid — into the one executable shape
 //! ([`Scenario`]) the runner and the server share.
 
-use crate::scenario::{CellMode, Scenario, StatsMode, WorkloadPoint};
+use crate::scenario::{CellMode, Scenario, WorkloadPoint};
 use resim_core::{EngineConfig, Fnv64, PipelineDescription};
 use resim_sample::SamplePlan;
 use resim_toml::{Error, Table};
@@ -323,32 +323,6 @@ impl ScenarioDoc {
         }
     }
 
-    /// The `[sweep]` table's `stats` key as a [`StatsMode`]
-    /// ([`StatsMode::Full`] when absent, or when there is no `[sweep]`
-    /// section at all).
-    ///
-    /// Resolved lazily from the raw table — like
-    /// [`ScenarioDoc::sweep_threads`] — so single-run commands (`resim
-    /// run`, `resim profile`) can honour or refuse the knob without
-    /// resolving the whole sweep grid.
-    ///
-    /// # Errors
-    ///
-    /// [`Error`] if the key is present but not `"full"` or `"lite"`.
-    pub fn sweep_stats(&self) -> Result<StatsMode, Error> {
-        match &self.sweep {
-            Some(t) => match t.opt_str("stats")? {
-                None | Some("full") => Ok(StatsMode::Full),
-                Some("lite") => Ok(StatsMode::Lite),
-                Some(other) => Err(Error::new(
-                    t.key_line("stats"),
-                    format!("unknown stats mode {other:?} (expected \"full\" or \"lite\")"),
-                )),
-            },
-            None => Ok(StatsMode::Full),
-        }
-    }
-
     /// The `[sweep]` table's `trace_files` key: containers to preload
     /// into the sweep's trace cache.
     ///
@@ -427,7 +401,6 @@ mod tests {
         assert!(doc.has_sweep());
         assert_eq!(doc.sweep_threads().unwrap(), 3);
         assert_eq!(doc.sweep_trace_files().unwrap(), vec!["a.trace"]);
-        assert_eq!(doc.sweep_stats().unwrap(), StatsMode::Full);
         assert_eq!(doc.sweep_scenario().unwrap().len(), 1);
         // A broken sweep section surfaces at resolution, not parse.
         let doc = ScenarioDoc::parse_str("[sweep]\nworkloads = [\"gzip\"]").unwrap();
@@ -435,27 +408,6 @@ mod tests {
         // No sweep at all is its own message.
         let doc = ScenarioDoc::parse_str("").unwrap();
         assert!(doc.sweep_scenario().unwrap_err().to_string().contains("[sweep]"));
-    }
-
-    #[test]
-    fn sweep_stats_key_resolves_lazily() {
-        let doc = ScenarioDoc::parse_str("").unwrap();
-        assert_eq!(doc.sweep_stats().unwrap(), StatsMode::Full);
-        let doc = ScenarioDoc::parse_str("[sweep]\nstats = \"lite\"").unwrap();
-        assert_eq!(doc.sweep_stats().unwrap(), StatsMode::Lite);
-        let doc = ScenarioDoc::parse_str("[sweep]\nstats = \"turbo\"").unwrap();
-        assert!(doc.sweep_stats().unwrap_err().to_string().contains("turbo"));
-        // The lite marker moves the document fingerprint: lite results
-        // must never alias full-stats cache entries.
-        let full = ScenarioDoc::parse_str(
-            "[sweep]\nworkloads = [\"gzip\"]\nbudgets = [100]\nseeds = [1]\n[[sweep.config]]\nname = \"a\"",
-        )
-        .unwrap();
-        let lite = ScenarioDoc::parse_str(
-            "[sweep]\nstats = \"lite\"\nworkloads = [\"gzip\"]\nbudgets = [100]\nseeds = [1]\n[[sweep.config]]\nname = \"a\"",
-        )
-        .unwrap();
-        assert_ne!(full.fingerprint().unwrap(), lite.fingerprint().unwrap());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`Scenario`] — the entry point of the declarative bulk-simulation
 //! path (`resim sweep`). See `docs/guide.md` for the key reference.
 
-use crate::scenario::{CellMode, Scenario, StatsMode, WorkloadPoint};
+use crate::scenario::{CellMode, Scenario, WorkloadPoint};
 use resim_core::{ConfigGrid, EngineConfig, PipelineDescription};
 use resim_sample::SamplePlan;
 use resim_toml::{Error, Table};
@@ -93,10 +93,6 @@ impl Scenario {
     /// * `modes` — optional array of `"full"` / `"sampled"`;
     ///   `"sampled"` reads its plan from the `[sweep.sample]` sub-table
     ///   ([`SamplePlan::from_table`]);
-    /// * `stats` — optional `"full"` (default) or `"lite"`: the
-    ///   grid-wide [`StatsMode`]. `"lite"` runs every cell on the
-    ///   stats-lite engine (occupancy and stage-activity bookkeeping
-    ///   compiled out) and cannot combine with sampled modes;
     /// * configurations — any number of `[[sweep.config]]` entries
     ///   (`name`, optional `engine` and `tracegen` sub-tables), and/or
     ///   one `[sweep.grid]` (axis keys per
@@ -161,7 +157,6 @@ impl Scenario {
             "budgets",
             "seeds",
             "modes",
-            "stats",
             "sample",
             "config",
             "grid",
@@ -231,17 +226,6 @@ impl Scenario {
             return Err(t.error("missing required array key \"seeds\""));
         };
         scenario = scenario.budgets(budgets).seeds(seeds);
-
-        match t.opt_str("stats")? {
-            None | Some("full") => {}
-            Some("lite") => scenario = scenario.stats(StatsMode::Lite),
-            Some(other) => {
-                return Err(Error::new(
-                    t.key_line("stats"),
-                    format!("unknown stats mode {other:?} (expected \"full\" or \"lite\")"),
-                ))
-            }
-        }
 
         if let Some(modes) = t.opt_str_array("modes")? {
             for m in &modes {
@@ -426,31 +410,6 @@ name = "base"
         )
         .unwrap_err();
         assert!(err.to_string().contains("[sweep.sample]"));
-    }
-
-    #[test]
-    fn stats_key_selects_the_mode() {
-        let lite = parse(
-            "[sweep]\nstats = \"lite\"\nworkloads = [\"gzip\"]\nbudgets = [1]\nseeds = [1]\n[[sweep.config]]\nname = \"a\"",
-        )
-        .unwrap();
-        assert_eq!(lite.stats_mode(), StatsMode::Lite);
-        let full = parse(
-            "[sweep]\nstats = \"full\"\nworkloads = [\"gzip\"]\nbudgets = [1]\nseeds = [1]\n[[sweep.config]]\nname = \"a\"",
-        )
-        .unwrap();
-        assert_eq!(full.stats_mode(), StatsMode::Full);
-        assert_eq!(parse(MINIMAL).unwrap().stats_mode(), StatsMode::Full);
-        let err = parse(
-            "[sweep]\nstats = \"turbo\"\nworkloads = [\"gzip\"]\nbudgets = [1]\nseeds = [1]\n[[sweep.config]]\nname = \"a\"",
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("turbo"), "{err}");
-        let err = parse(
-            "[sweep]\nstats = \"lite\"\nmodes = [\"sampled\"]\nworkloads = [\"gzip\"]\nbudgets = [10000]\nseeds = [1]\n[sweep.sample]\ninterval = 1000\ndetailed = 200\n[[sweep.config]]\nname = \"a\"",
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("lite"), "{err}");
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! * integers (decimal with `_` separators, `0x`/`0o`/`0b` prefixes),
 //!   floats, booleans;
 //! * arrays, which may span lines and carry a trailing comma;
+//!   arrays and table headers nest at most [`MAX_DEPTH`] deep;
 //! * `#` comments.
 //!
 //! Unsupported on purpose (a scenario file needs none of them): dates,
@@ -63,6 +64,12 @@ mod value;
 
 pub use error::Error;
 pub use value::{Spanned, Table, Value};
+
+/// Nesting bound of the TOML parser: arrays nested deeper, or table
+/// headers with more keys, are rejected with a line-numbered [`Error`]
+/// rather than recursed into (a hostile scenario must not overflow the
+/// stack).
+pub const MAX_DEPTH: usize = 64;
 
 /// Parses a TOML document into its root [`Table`].
 ///

@@ -2,6 +2,7 @@
 
 use crate::error::Error;
 use crate::value::{Spanned, Table, Value};
+use crate::MAX_DEPTH;
 use std::collections::HashSet;
 
 pub(crate) fn parse(input: &str) -> Result<Table, Error> {
@@ -29,7 +30,7 @@ pub(crate) fn parse(input: &str) -> Result<Table, Error> {
             }
             p.bump();
             p.skip_ws();
-            let value = p.value()?;
+            let value = p.value(0)?;
             p.end_of_line()?;
             navigate(&mut root, &current)?.insert(key, value)?;
         }
@@ -167,6 +168,12 @@ impl Parser {
         loop {
             self.skip_ws();
             path.push(self.key()?);
+            if path.len() > MAX_DEPTH {
+                return Err(Error::new(
+                    line,
+                    format!("table header nests more than {MAX_DEPTH} keys deep"),
+                ));
+            }
             self.skip_ws();
             match self.peek() {
                 Some('.') => {
@@ -285,11 +292,11 @@ impl Parser {
         }
     }
 
-    fn value(&mut self) -> Result<Spanned<Value>, Error> {
+    fn value(&mut self, depth: usize) -> Result<Spanned<Value>, Error> {
         let line = self.line;
         match self.peek() {
             Some('"') | Some('\'') => self.string(),
-            Some('[') => self.array(),
+            Some('[') => self.array(depth + 1),
             Some('{') => Err(Error::new(line, "inline tables are not supported")),
             Some('t') | Some('f') => self.boolean(),
             Some(c) if c.is_ascii_digit() || c == '+' || c == '-' || c == '.' => self.number(),
@@ -344,8 +351,14 @@ impl Parser {
         Ok(Spanned::new(Value::Str(s), line))
     }
 
-    fn array(&mut self) -> Result<Spanned<Value>, Error> {
+    fn array(&mut self, depth: usize) -> Result<Spanned<Value>, Error> {
         let line = self.line;
+        if depth > MAX_DEPTH {
+            return Err(Error::new(
+                line,
+                format!("arrays nest more than {MAX_DEPTH} levels deep"),
+            ));
+        }
         self.bump(); // '['
         let mut items = Vec::new();
         loop {
@@ -358,7 +371,7 @@ impl Parser {
                 }
                 _ => {}
             }
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_trivia();
             match self.peek() {
                 Some(',') => {
@@ -564,6 +577,26 @@ b = 'no \escapes'
         assert!(parse("a = 1\n[a]\n").is_err());
         assert!(parse("[[a]]\n[a]\nx = 1").is_err(), "array then plain header");
         assert!(parse("a = [1]\n[[a]]\n").is_err(), "plain array then [[a]]");
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_line_numbered_error() {
+        let nested = |n: usize| format!("a = 1\nx = {}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.line(), 2);
+        assert!(err.message().contains("nest"), "{err}");
+        // Far past the bound (an unterminated hostile run of `[`): a typed
+        // error, not a stack overflow.
+        let err = parse(&format!("x = {}", "[".repeat(500_000))).unwrap_err();
+        assert_eq!(err.line(), 1);
+
+        let header = |n: usize| format!("\n[{}]\ny = 1", vec!["k"; n].join("."));
+        assert!(parse(&header(MAX_DEPTH)).is_ok());
+        let err = parse(&header(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.line(), 2);
+        assert!(err.message().contains("nest"), "{err}");
+        assert!(parse(&header(300_000)).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 /// An incremental FNV-1a 64-bit hasher.
 ///
 /// ```
-/// use resim_core::Fnv64;
+/// use resim_trace::Fnv64;
 ///
 /// let mut h = Fnv64::new();
 /// h.write_u64(2009);

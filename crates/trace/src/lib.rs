@@ -69,6 +69,7 @@ mod bits;
 mod codec;
 mod codec_v2;
 mod file;
+mod fingerprint;
 mod record;
 mod source;
 mod stats;
@@ -82,6 +83,7 @@ pub use file::{
     save_trace_file, FileError, FileSource, TraceFileError, TraceFileHeader,
     SUPPORTED_LAYOUT_VERSIONS, TRACE_CONTAINER_VERSION, TRACE_FILE_MAGIC,
 };
+pub use fingerprint::Fnv64;
 pub use record::{
     BranchKind, BranchRecord, MemKind, MemRecord, MemSize, OpClass, OtherRecord, Reg, RegClass,
     TraceRecord,

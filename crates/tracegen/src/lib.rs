@@ -104,39 +104,32 @@ impl TraceGenConfig {
     /// ```
     pub fn fingerprint(&self) -> u64 {
         use resim_bpred::DirectionConfig;
+        use resim_trace::Fnv64;
 
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = Fnv64::new();
         match self.predictor.direction {
-            DirectionConfig::Perfect => eat(&[0]),
-            DirectionConfig::Taken => eat(&[1]),
-            DirectionConfig::NotTaken => eat(&[2]),
+            DirectionConfig::Perfect => h.write_u8(0),
+            DirectionConfig::Taken => h.write_u8(1),
+            DirectionConfig::NotTaken => h.write_u8(2),
             DirectionConfig::Bimodal { size } => {
-                eat(&[3]);
-                eat(&(size as u64).to_le_bytes());
+                h.write_u8(3);
+                h.write_u64(size as u64);
             }
             DirectionConfig::TwoLevel(t) => {
-                eat(&[4]);
-                eat(&(t.l1_size as u64).to_le_bytes());
-                eat(&t.history_bits.to_le_bytes());
-                eat(&(t.l2_size as u64).to_le_bytes());
-                eat(&[u8::from(t.xor)]);
-                eat(&t.counter_bits.to_le_bytes());
+                h.write_u8(4);
+                h.write_u64(t.l1_size as u64);
+                h.write(&t.history_bits.to_le_bytes());
+                h.write_u64(t.l2_size as u64);
+                h.write_u8(u8::from(t.xor));
+                h.write(&t.counter_bits.to_le_bytes());
             }
         }
-        eat(&(self.predictor.btb.entries as u64).to_le_bytes());
-        eat(&(self.predictor.btb.associativity as u64).to_le_bytes());
-        eat(&(self.predictor.ras_entries as u64).to_le_bytes());
-        eat(&(self.wrong_path_len as u64).to_le_bytes());
-        eat(&self.seed.to_le_bytes());
-        hash
+        h.write_u64(self.predictor.btb.entries as u64);
+        h.write_u64(self.predictor.btb.associativity as u64);
+        h.write_u64(self.predictor.ras_entries as u64);
+        h.write_u64(self.wrong_path_len as u64);
+        h.write_u64(self.seed);
+        h.finish()
     }
 }
 
@@ -275,6 +268,14 @@ mod tests {
             src2: None,
             wrong_path: false,
         })
+    }
+
+    #[test]
+    fn config_fingerprints_are_pinned() {
+        // Every RSTR header and cached cell key carries these words, so
+        // they must never change.
+        assert_eq!(TraceGenConfig::paper().fingerprint(), 0x85ed_6de2_03fa_67e8);
+        assert_eq!(TraceGenConfig::perfect().fingerprint(), 0xfccc_2014_5b4c_9128);
     }
 
     /// An alternating branch the two-level predictor eventually learns.
