@@ -1,5 +1,5 @@
-//! Measures the observability overhead: `engine_throughput`-style
-//! committed-records-per-second with the default
+//! Measures the observability overhead: committed records per second
+//! over in-memory records with the default
 //! [`NullRecorder`](resim_core::NullRecorder) against the same run
 //! with a collecting [`MetricsRecorder`] attached.
 //!
@@ -8,16 +8,16 @@
 //!
 //! * **zero-overhead when off** — the `NullRecorder` path is
 //!   monomorphized away (`R::ENABLED == false`), so its throughput is
-//!   the plain `Engine::new` throughput (the PR gate holds it within
-//!   2% of `BENCH_BASELINE.json`'s `slice` rate, enforced by
-//!   `bench_guard`, not here);
+//!   the plain `Engine::new` throughput, which simbench reports as
+//!   `core.slice_mips` and compares against the parent commit (not
+//!   checked here);
 //! * **observation only when on** — with the recorder attached the
 //!   `SimStats` must stay bit-identical, which this binary asserts on
 //!   every run before reporting the throughput ratio.
 //!
 //! Usage: `obs_overhead [--budget N]` (default 20 000 records, best of
-//! 5 — the quick-mode shape of `engine_throughput`). The numbers land
-//! in EXPERIMENTS.md's "observability overhead" table.
+//! 5). The numbers land in EXPERIMENTS.md's "observability overhead"
+//! table.
 
 use resim_core::{Engine, MetricsRecorder, SimStats};
 use resim_trace::Trace;

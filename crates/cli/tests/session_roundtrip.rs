@@ -188,3 +188,18 @@ fn corrupt_session_files_are_typed_errors() {
     assert!(err.contains("missing.rssn"), "{err}");
     fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn session_with_trailing_bytes_is_rejected() {
+    let dir = scratch("trailing");
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+    let mut bytes = fs::read(corpus.join("file-v1-vortex.rssn")).unwrap();
+    bytes.extend_from_slice(&[0xAB; 15]);
+    let padded = dir.join("padded.rssn");
+    fs::write(&padded, &bytes).unwrap();
+    let (code, out, err) = run_for_test(&["replay", "-s", padded.to_str().unwrap()]);
+    assert_eq!(code, 1, "{out}");
+    assert!(err.contains("padded.rssn"), "{err}");
+    assert!(err.contains("15 trailing bytes"), "{err}");
+    fs::remove_dir_all(&dir).unwrap();
+}

@@ -296,13 +296,18 @@ impl SessionRecord {
         })
     }
 
-    /// Deserializes from a byte slice.
+    /// Deserializes from a byte slice that must hold exactly one record.
     ///
     /// # Errors
     ///
-    /// Everything [`SessionRecord::read_from`] rejects.
+    /// Everything [`SessionRecord::read_from`] rejects, and
+    /// [`SessionError::TrailingBytes`] when bytes follow the record.
     pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, SessionError> {
-        Self::read_from(&mut bytes)
+        let record = Self::read_from(&mut bytes)?;
+        if !bytes.is_empty() {
+            return Err(SessionError::TrailingBytes(bytes.len()));
+        }
+        Ok(record)
     }
 
     /// Writes the record to `path`.
@@ -410,6 +415,8 @@ pub enum SessionError {
         /// Digest recomputed from the stored words.
         computed: u64,
     },
+    /// A well-formed record followed by this many extra bytes.
+    TrailingBytes(usize),
 }
 
 impl fmt::Display for SessionError {
@@ -443,6 +450,9 @@ impl fmt::Display for SessionError {
                 f,
                 "stats digest mismatch: stored {stored:#018x}, computed {computed:#018x}"
             ),
+            SessionError::TrailingBytes(n) => {
+                write!(f, "{n} trailing bytes after the session record")
+            }
         }
     }
 }
@@ -666,6 +676,16 @@ mod tests {
     }
 
     #[test]
+    fn trailing_bytes_are_rejected() {
+        let mut bytes = full_record().to_bytes();
+        bytes.extend_from_slice(&[0; 15]);
+        assert_eq!(
+            SessionRecord::from_bytes(&bytes),
+            Err(SessionError::TrailingBytes(15))
+        );
+    }
+
+    #[test]
     fn corrupt_stats_word_trips_the_digest() {
         let rec = full_record();
         let bytes = rec.to_bytes();
@@ -773,6 +793,7 @@ mod tests {
                 },
                 "digest mismatch",
             ),
+            (SessionError::TrailingBytes(15), "15 trailing bytes"),
         ];
         for (err, needle) in cases {
             assert!(err.to_string().contains(needle), "{err}");
